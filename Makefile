@@ -3,9 +3,9 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-nojit test-speed test-faults test-service lint \
+.PHONY: test test-nojit test-faults test-service test-bench lint \
 	bench-kernels bench-pipeline bench-answers bench-figures \
-	bench-service
+	bench-service bench-e2e
 
 # Tier-1: the gate every PR must keep green. Includes the fault and
 # service suites (they collect by default; `test-faults` and
@@ -19,17 +19,6 @@ test:
 # contract makes backend choice unobservable in outputs).
 test-nojit:
 	REPRO_NO_JIT=1 $(PY) -m pytest -x -q
-
-# Optional-speed tier (CI only — needs network for pip): install the
-# numba extra, run the kernel suite pinned to the numba backend, then
-# re-record bench-kernels so the numba-tier rows land in
-# BENCH_kernels.json next to the cc tier (the kernel benchmarks
-# parametrize over available_backends(), and record.py merges rows by
-# name rather than overwriting the file).
-test-speed:
-	pip install -e '.[speed]'
-	REPRO_JIT=numba $(PY) -m pytest tests/test_kernels.py -q
-	$(MAKE) bench-kernels
 
 # Static checks: no string-literal protocol dispatch outside the
 # registry (also collected by the default pytest run).
@@ -45,6 +34,10 @@ test-faults:
 # recovery suites (also part of the default `test` run).
 test-service:
 	$(PY) -m pytest tests/test_service.py tests/test_service_client.py -q
+
+# The end-to-end benchmark's own tests (outside the tier-1 testpaths).
+test-bench:
+	python3 -m pytest felipbench -q
 
 # Micro-primitive benchmarks (tiled OLH kernel, perturb/estimate, HIO
 # answer throughput). Writes BENCH_kernels.json so PRs can diff kernel
@@ -82,6 +75,12 @@ bench-answers:
 # throughput-under-chaos, recovery-point lag).
 bench-service:
 	$(PY) -m pytest benchmarks/test_service_soak.py -m benchmarks -q
+
+# End-to-end benchmark: every BENCHMARK.json workload (batch-mixed,
+# collect-heavy, stream-ingest) at a fixed seed; prints the end-to-end
+# metrics as JSON.
+bench-e2e:
+	python3 felipbench/run.py --workload all --seed 1
 
 # The full figure-regeneration benchmark suite (slow).
 bench-figures:

@@ -1,29 +1,19 @@
 """Collection-throughput benchmark: serial reference vs sharded executor.
 
 Times the client-side collection phase (grouping + encode + perturb) at
-``n = 10^6`` users for the serial reference path and the sharded executor
-over ``backend × workers`` — threads and processes at 1/2/4 workers.
-``make bench-pipeline`` records the results to ``BENCH_pipeline.json`` so
-PRs can diff collection throughput over time.
+``n = 10^6`` users for the serial reference path and the sharded
+executor's thread pool at 1/2/4 workers. ``make bench-pipeline`` records
+the results to ``BENCH_pipeline.json`` so PRs can diff collection
+throughput over time.
 
 The sharded path wins even at ``workers=1`` — its radix-argsort grouping,
 column-only gathers, and closed-form cell lookup replace the serial
 path's dominant costs. What multi-worker rows add depends on the host:
-threads add whatever the GIL-releasing kernels (generator sampling, the
-OLH hash chain) leave on the table, and the process backend removes the
-GIL ceiling entirely at the cost of one shared-memory copy of the record
-columns. **On a single-CPU host every workers>1 row tracks the
-workers=1 row** — there is no second core to scale onto, and no executor
-can change that — so read cross-worker speedups only from multi-core
-hosts; the honest speedup here lives in serial-vs-sharded. The
-``workers=1`` process row doubles as the descriptor-overhead baseline:
-it builds the arenas and runs the descriptors inline.
-
-Every benchmark run must also leave ``/dev/shm`` exactly as it found it;
-the module-level fixture fails the suite if any segment leaks.
+threads add whatever the GIL-releasing kernels (the compiled C kernels,
+generator sampling) leave on the table. **On a single-CPU host every
+workers>1 row tracks the workers=1 row** — there is no second core to
+scale onto — so read cross-worker speedups only from multi-core hosts.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -35,22 +25,6 @@ from repro.rng import ensure_rng
 
 N_USERS = 1_000_000
 N_USERS_XL = 10_000_000
-
-
-def _shm_segments():
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
-@pytest.fixture(scope="module", autouse=True)
-def no_leaked_shm_segments():
-    """The whole benchmark module must leave /dev/shm as it found it."""
-    before = _shm_segments()
-    yield
-    leaked = _shm_segments() - before
-    assert not leaked, f"benchmarks leaked shm segments: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="module")
@@ -72,23 +46,20 @@ def test_collect_serial_1m(benchmark, collection):
         rounds=7, iterations=1, warmup_rounds=1)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_collect_sharded_1m(benchmark, collection, workers, backend):
+def test_collect_sharded_1m(benchmark, collection, workers):
     records, assignment, plans, epsilon = collection
     benchmark.pedantic(
         lambda: collect_reports(records, assignment, plans, epsilon,
-                                rng=7, workers=workers, backend=backend),
+                                rng=7, workers=workers),
         rounds=7, iterations=1, warmup_rounds=1)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_collect_sharded_chunked_1m(benchmark, collection, backend):
+def test_collect_sharded_chunked_1m(benchmark, collection):
     records, assignment, plans, epsilon = collection
     benchmark.pedantic(
         lambda: collect_reports(records, assignment, plans, epsilon,
-                                rng=7, workers=4, backend=backend,
-                                chunk_size=65_536),
+                                rng=7, workers=4, chunk_size=65_536),
         rounds=7, iterations=1, warmup_rounds=1)
 
 
@@ -109,19 +80,17 @@ def test_collect_sharded_10m(benchmark):
     assignment = partition_users(dataset.n, len(plans), ensure_rng(2023))
     benchmark.pedantic(
         lambda: collect_reports(dataset.records, assignment, plans,
-                                config.epsilon, rng=7, workers=0,
-                                backend="auto"),
+                                config.epsilon, rng=7, workers=0),
         rounds=3, iterations=1, warmup_rounds=1)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_sharded_output_matches_serial(collection, backend):
+def test_sharded_output_matches_serial(collection):
     """Guard: the benchmarked paths produce identical reports."""
     records, assignment, plans, epsilon = collection
     serial = collect_reports_serial(records, assignment, plans, epsilon,
                                     rng=7)
     sharded = collect_reports(records, assignment, plans, epsilon, rng=7,
-                              workers=4, backend=backend)
+                              workers=4)
     for s, p in zip(serial, sharded):
         assert s.group_size == p.group_size
         if s.report is None:

@@ -32,9 +32,6 @@ from repro.robustness.ingest import INGEST_MODES
 
 _STRATEGIES = ("oug", "ohg")
 _PARTITION_MODES = ("users", "budget")
-#: accepted FelipConfig.backend values (mirrors repro.core.parallel.BACKENDS;
-#: kept literal here so config stays import-light)
-EXECUTOR_BACKENDS = ("thread", "process", "auto")
 
 
 @dataclass(frozen=True)
@@ -90,13 +87,6 @@ class FelipConfig:
         changes outputs: shards draw from deterministically spawned
         generators and are reduced in a fixed order, so results are a
         pure function of ``(seed, chunk_size)``.
-    backend:
-        Executor backend for the *collection* stage: ``"thread"``
-        (default), ``"process"`` (shared-memory descriptor-passing
-        workers that sidestep the GIL for the perturbation hot loops),
-        or ``"auto"`` (process when more than one effective worker is
-        available). The backend, like ``workers``, never changes a
-        single bit of output — see ``repro.core.parallel``.
     chunk_size:
         Rows per client-side shard within a group (``None`` = whole
         groups). ``None`` additionally makes the sharded executor
@@ -156,7 +146,6 @@ class FelipConfig:
     partition_mode: str = "users"
     one_d_protocol: str = None
     workers: int = 1
-    backend: str = "thread"
     chunk_size: Optional[int] = None
     ingest_policy: str = "strict"
     detectors: Tuple[str, ...] = ()
@@ -208,10 +197,6 @@ class FelipConfig:
             raise ConfigurationError(
                 f"workers must be >= 0 (0 = one per CPU), got "
                 f"{self.workers}")
-        if self.backend not in EXECUTOR_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {EXECUTOR_BACKENDS}, "
-                f"got {self.backend!r}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be None or >= 1, got {self.chunk_size}")

@@ -5,23 +5,13 @@ shard of the population encodes and perturbs independently, and every grid
 estimates independently on the server. This module provides the shared
 executor for both sides:
 
-* :func:`run_sharded` — run shard tasks on an executor backend and return
-  results **in task order**, so downstream reductions are deterministic no
-  matter how the scheduler interleaves shards. Two pool backends exist:
-
-  - ``backend="thread"`` — a thread pool. Right when shards are zero-copy
-    views handed to kernels that release the GIL for part of their work
-    (generator sampling, searchsorted, the splitmix64 hash chain), and the
-    only backend that can run closures capturing live objects.
-  - ``backend="process"`` — a process pool. Breaks the GIL ceiling for the
-    pure-python slices of the hot loops, but requires *picklable* tasks:
-    every task must be a :class:`ShardTask` (a top-level function plus a
-    small payload of shared-memory descriptors — see
-    :mod:`repro.core.shm` and ``repro.core.client``).
-  - ``backend="auto"`` — ``"process"`` when more than one effective worker
-    is requested and the platform supports shared memory, else
-    ``"thread"``.
-
+* :func:`run_sharded` — run shard tasks (zero-argument callables) on a
+  thread pool and return results **in task order**, so downstream
+  reductions are deterministic no matter how the scheduler interleaves
+  shards. Threads suffice: shards are zero-copy views handed to kernels
+  that release the GIL for their heavy work (the compiled C kernels,
+  generator sampling, searchsorted), and a closure can capture live
+  objects without any serialization.
 * :func:`group_orders` — single-pass grouping of the population by group
   label (one uint8/uint16 radix argsort instead of ``m`` boolean-mask scans
   of the full record matrix — the serial path's dominant cost).
@@ -37,11 +27,8 @@ Parallelism never touches randomness: every shard perturbs with its own
 generator, spawned deterministically from the caller's seed (one child per
 group, and one grandchild per chunk when a group is split). Results are
 reduced in (group, chunk) order. Therefore the collected reports are a pure
-function of ``(seed, chunk_size)`` — changing ``workers`` **or the
-backend** can only change wall-clock time, never a single bit of output.
-The process backend preserves this by construction: a shard's payload
-carries its generator's full bit-generator state, and the worker rebuilds
-the exact stream from that snapshot before perturbing.
+function of ``(seed, chunk_size)`` — changing ``workers`` can only change
+wall-clock time, never a single bit of output.
 
 Fault tolerance
 ---------------
@@ -61,13 +48,9 @@ surfaces in milliseconds instead of after a full (doomed) collection.
 Retries preserve the determinism contract because every randomized shard
 task snapshots its generator state at construction and restores it on
 entry (see ``repro.core.client``), so a retried attempt replays exactly
-the RNG stream the failed attempt consumed. Under the process backend the
-retry loop (and any injected chaos) runs *inside the worker process*; the
-worker reports how many attempts it burned and the parent folds that into
-the shared :class:`ExecutionStats` and the parent's
-:class:`~repro.robustness.FaultInjector` counters. If a pool itself
-cannot be created (fd/thread exhaustion), execution degrades gracefully
-to the inline path and the collection still completes.
+the RNG stream the failed attempt consumed. If a pool itself cannot be
+created (fd/thread exhaustion), execution degrades gracefully to the
+inline path and the collection still completes.
 """
 
 from __future__ import annotations
@@ -75,19 +58,14 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.shm import shared_memory_available
 from repro.errors import ConfigurationError, ReproError
 from repro.robustness.faults import backoff_delay
-
-#: accepted values of the executor ``backend`` knob
-BACKENDS = ("thread", "process", "auto")
 
 
 def resolve_workers(workers: int) -> int:
@@ -110,49 +88,6 @@ def resolve_workers(workers: int) -> int:
                 pass
         return os.cpu_count() or 1
     return workers
-
-
-def resolve_backend(backend: str, workers: int) -> str:
-    """Resolve the ``backend`` knob to a concrete executor backend.
-
-    ``"auto"`` picks ``"process"`` when more than one effective worker is
-    requested, the host actually *has* more than one effective core, and
-    ``multiprocessing.shared_memory`` is available, else ``"thread"`` (a
-    single worker runs inline either way, and threads avoid the
-    descriptor plumbing for free). The core check matters: on a
-    single-core host extra processes cannot run concurrently, so the
-    fork/pickle/shared-memory overhead is pure loss — measured ~2.8x
-    slower than threads at workers=4 in BENCH_pipeline.json.
-    """
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"backend must be one of {BACKENDS}, got {backend!r}")
-    if backend == "auto":
-        if resolve_workers(workers) > 1 and resolve_workers(0) > 1 \
-                and shared_memory_available():
-            return "process"
-        return "thread"
-    return backend
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """A picklable shard task: a top-level function plus its payload.
-
-    The process backend cannot run closures (they don't pickle), so
-    process-capable callers build their shards as ``ShardTask(fn,
-    payload)`` where ``fn`` is an importable module-level function and
-    ``payload`` is a small picklable descriptor (shared-memory handles,
-    RNG state, scalars — never arrays). Calling the task runs
-    ``fn(payload)``, so the inline and thread paths execute it like any
-    other zero-argument callable.
-    """
-
-    fn: Callable[[object], object]
-    payload: object
-
-    def __call__(self) -> object:
-        return self.fn(self.payload)
 
 
 class ExecutionStats:
@@ -226,20 +161,14 @@ class ExecutionStats:
 _BACKOFF_BASE = 0.002
 
 
-def _worker_attempt(index: int, task: Callable[[], object], retries: int,
-                    backoff: float, fault_injector
-                    ) -> Tuple[object, int, Dict[Tuple[int, int], int]]:
-    """One shard's full attempt loop; shared by every backend.
-
-    Returns ``(result, retries_burned, injected_counts)`` so the caller
-    (possibly in another process) can fold the fault accounting into the
-    parent-side :class:`ExecutionStats` and fault injector.
-    """
+def _attempt(index: int, task: Callable[[], object], retries: int,
+             backoff: float, fault_injector) -> Tuple[object, int]:
+    """One shard's full attempt loop: ``(result, retries_burned)``."""
     for attempt_no in range(retries + 1):
         try:
             if fault_injector is not None:
                 fault_injector.maybe_fail(index, attempt_no)
-            result = task()
+            return task(), attempt_no
         except ReproError:
             # Deterministic: replaying the same inputs raises the same
             # error. Surface it to the caller immediately.
@@ -249,28 +178,11 @@ def _worker_attempt(index: int, task: Callable[[], object], retries: int,
                 raise
             if backoff > 0:
                 time.sleep(backoff_delay(attempt_no, backoff))
-        else:
-            injected = (dict(fault_injector.injected)
-                        if fault_injector is not None
-                        and hasattr(fault_injector, "injected") else {})
-            return result, attempt_no, injected
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _process_attempt(index: int, task: ShardTask, retries: int,
-                     backoff: float, fault_injector):
-    """Worker-process entry point: the attempt loop around one ShardTask.
-
-    The fault injector crossing the pickle boundary is a *copy* whose
-    counters start empty; the counts it accumulates for this shard ride
-    back in the return tuple and are absorbed by the parent's injector.
-    """
-    return _worker_attempt(index, task, retries, backoff, fault_injector)
-
-
 def run_sharded(tasks: Sequence[Callable[[], object]],
-                workers: int, *, backend: str = "thread",
-                retries: int = 0,
+                workers: int, *, retries: int = 0,
                 backoff: float = _BACKOFF_BASE,
                 fault_injector=None,
                 stats: Optional[ExecutionStats] = None) -> List[object]:
@@ -278,16 +190,10 @@ def run_sharded(tasks: Sequence[Callable[[], object]],
 
     ``workers <= 1`` (after :func:`resolve_workers`) runs inline with no
     pool, so the single-worker path has zero pool overhead and is
-    trivially identical to a plain loop — whatever the backend.
+    trivially identical to a plain loop.
 
     Parameters
     ----------
-    backend:
-        ``"thread"`` (default), ``"process"``, or ``"auto"`` (see
-        :func:`resolve_backend`). The process backend requires every task
-        to be a :class:`ShardTask`; handing it a closure raises
-        :class:`~repro.errors.ConfigurationError` because the closure
-        would die (unpicklable) deep inside the pool instead.
     retries:
         Extra attempts per shard after a *transient* failure (any
         exception not deriving from :class:`~repro.errors.ReproError`;
@@ -297,20 +203,18 @@ def run_sharded(tasks: Sequence[Callable[[], object]],
     fault_injector:
         Chaos hook (:class:`repro.robustness.FaultInjector` or anything
         with ``maybe_fail(shard, attempt)``), consulted before every
-        attempt — inside the worker process under the process backend.
-        Test-only; ``None`` in production paths.
+        attempt. Test-only; ``None`` in production paths.
     stats:
         Optional :class:`ExecutionStats` accumulating retries, pool
         fallbacks, and exhausted shards across calls.
     """
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    backend = resolve_backend(backend, workers)
 
     def attempt(index: int, task: Callable[[], object]) -> object:
         try:
-            result, burned, _ = _worker_attempt(index, task, retries,
-                                                backoff, fault_injector)
+            result, burned = _attempt(index, task, retries, backoff,
+                                      fault_injector)
         except Exception:
             if stats is not None:
                 stats.record_failure()
@@ -322,15 +226,6 @@ def run_sharded(tasks: Sequence[Callable[[], object]],
     workers = min(resolve_workers(workers), len(tasks))
     if workers <= 1:
         return [attempt(i, task) for i, task in enumerate(tasks)]
-    if backend == "process":
-        if not all(isinstance(task, ShardTask) for task in tasks):
-            raise ConfigurationError(
-                "backend='process' requires every task to be a "
-                "ShardTask (top-level function + picklable payload); "
-                "got a plain callable — use backend='thread' for "
-                "closure tasks")
-        return _run_process_pool(tasks, workers, retries, backoff,
-                                 fault_injector, stats)
     try:
         pool = ThreadPoolExecutor(max_workers=workers)
     except Exception:
@@ -347,69 +242,6 @@ def run_sharded(tasks: Sequence[Callable[[], object]],
         # Fail fast: the first terminal failure cancels every shard that
         # has not started yet and returns without draining the rest — a
         # poisoned 1000-shard run dies in milliseconds, not minutes.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    return results
-
-
-def _warm_worker_kernels() -> None:
-    """Process-pool initializer: warm the compiled kernel layer once per
-    worker before it takes its first shard, so shared-library load /
-    JIT-compile cost never lands inside a timed shard. Failures are
-    swallowed — the dispatch layer falls back to numpy on its own, and an
-    initializer exception would kill the pool.
-    """
-    try:
-        from repro.fo import kernels
-        kernels.warm()
-    except Exception:  # pragma: no cover - defensive
-        pass
-
-
-def _run_process_pool(tasks: Sequence[ShardTask], workers: int,
-                      retries: int, backoff: float, fault_injector,
-                      stats: Optional[ExecutionStats]) -> List[object]:
-    """Process-pool execution: retry loop in workers, accounting here."""
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   initializer=_warm_worker_kernels)
-    except Exception:
-        if stats is not None:
-            stats.record_pool_fallback()
-        results = []
-        for i, task in enumerate(tasks):
-            try:
-                result, burned, injected = _worker_attempt(
-                    i, task, retries, backoff, fault_injector)
-            except Exception:
-                if stats is not None:
-                    stats.record_failure()
-                raise
-            if stats is not None:
-                stats.record_retry(i, burned)
-            results.append(result)
-        return results
-    try:
-        futures = [pool.submit(_process_attempt, i, task, retries,
-                               backoff, fault_injector)
-                   for i, task in enumerate(tasks)]
-        results: List[object] = []
-        for future in futures:
-            result, burned, injected = future.result()
-            if stats is not None:
-                stats.record_retry(len(results), burned)
-            if injected and fault_injector is not None and \
-                    hasattr(fault_injector, "absorb"):
-                # The worker consulted a pickled copy of the injector;
-                # fold its counts back into the parent's instance.
-                fault_injector.absorb(injected)
-            results.append(result)
-    except BaseException:
-        if stats is not None:
-            stats.record_failure()
-        # Same fail-fast contract as the thread pool: cancel queued
-        # shards, do not wait for stragglers.
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     pool.shutdown(wait=True)

@@ -30,15 +30,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.client import GroupReport, _TaskBuilder
+from repro.core.client import GroupReport, perturb_tasks
 from repro.core.config import FelipConfig
 from repro.core.merge import merge_reports, mergeable_protocol
-from repro.core.parallel import (
-    ExecutionStats,
-    chunk_bounds,
-    resolve_backend,
-    run_sharded,
-)
+from repro.core.parallel import ExecutionStats, run_sharded
 from repro.core.planner import PlannedGrid, plan_grids
 from repro.core.server import Aggregator
 from repro.errors import ConfigurationError, ProtocolError
@@ -64,10 +59,10 @@ class StreamingCollector:
     ----------
     schema, config:
         As for :class:`~repro.core.Aggregator`. ``config.workers`` widens
-        the per-batch perturbation across groups (``workers <= 1`` keeps
-        the exact single-stream randomness of the serial path; any larger
-        value switches to per-group spawned streams, whose outputs are
-        invariant to the precise worker count).
+        the per-batch perturbation across groups and
+        ``config.chunk_size`` splits each group into shards; every shard
+        draws from its own spawned stream, so outputs are a pure function
+        of ``(seed, chunk_size)`` whatever the worker count.
     expected_users:
         The planner's prior on the eventual population size — grid sizes
         are fixed up front (users must know their grid before reporting),
@@ -147,6 +142,10 @@ class StreamingCollector:
         every dropped report still inflated ``n`` and biased all frequency
         estimates low.) Returns the number of users admitted from this
         batch.
+
+        The batch's shards run on the same executor as one-shot
+        collection (:func:`repro.core.parallel.run_sharded`), for every
+        ``config.workers`` value.
         """
         records = np.asarray(records)
         if records.ndim != 2 or records.shape[1] != len(self.schema):
@@ -155,10 +154,29 @@ class StreamingCollector:
                 f"{len(self.schema)} attributes")
         rng = self._rng if rng is None else ensure_rng(rng)
         assignment = rng.integers(0, len(self.plans), size=len(records))
-        if self.config.workers > 1 or self.config.workers == 0:
-            accepted = self._observe_sharded(records, assignment, rng)
-        else:
-            accepted = self._observe_serial(records, assignment, rng)
+        group_rngs = spawn(rng, len(self.plans))
+        tasks, task_group = [], []
+        accepted = 0
+        for g, plan in enumerate(self.plans):
+            rows = records[assignment == g]
+            if len(rows) == 0:
+                continue
+            if plan.num_cells < 2:
+                accepted += self._admit_trivial(g, len(rows))
+                continue
+            columns = [rows[:, t] for t in plan.grid.column_indices]
+            shards = perturb_tasks(plan, self._oracles[plan.key], columns,
+                                   group_rngs[g], self.config.chunk_size)
+            tasks.extend(shards)
+            task_group.extend([g] * len(shards))
+        reports = run_sharded(tasks, self.config.workers,
+                              retries=self.config.shard_retries,
+                              fault_injector=self.fault_injector,
+                              stats=self.exec_stats)
+        for g, report in zip(task_group, reports):
+            users = self._admit(self.plans[g].key, report)
+            self._group_sizes[g] += users
+            accepted += users
         self.observed += accepted
         return accepted
 
@@ -184,80 +202,6 @@ class StreamingCollector:
         self._group_sizes[g] += rows
         self.trusted_users += rows
         return rows
-
-    def _observe_serial(self, records: np.ndarray, assignment: np.ndarray,
-                        rng) -> int:
-        """Legacy single-stream path: all perturbs draw from one rng."""
-        accepted = 0
-        for g, plan in enumerate(self.plans):
-            rows = records[assignment == g]
-            if len(rows) == 0:
-                continue
-            if plan.num_cells < 2:
-                accepted += self._admit_trivial(g, len(rows))
-                continue
-            values = plan.grid.encode(rows)
-            users = self._admit(plan.key,
-                                self._oracles[plan.key].perturb(values,
-                                                                rng))
-            self._group_sizes[g] += users
-            accepted += users
-        return accepted
-
-    def _observe_sharded(self, records: np.ndarray,
-                         assignment: np.ndarray, rng) -> int:
-        """Parallel path: per-group spawned streams, reduced in order.
-
-        Shares the batch collector's task machinery
-        (:class:`repro.core.client._TaskBuilder`): under
-        ``config.backend="process"`` the batch's gathered columns travel
-        to workers as shared-memory descriptors, exactly like one-shot
-        collection, and the arena is torn down per batch. Groups are
-        split into ``config.chunk_size`` shards exactly like the batch
-        collector (one spawned stream per chunk), so parallelism is not
-        capped at the group count and the output stays the documented
-        pure function of ``(seed, chunk_size)`` — invariant to ``workers``
-        and ``backend``, with ``chunk_size=None`` preserving the one-
-        stream-per-group geometry.
-        """
-        backend = resolve_backend(self.config.backend,
-                                  self.config.workers)
-        group_rngs = spawn(rng, len(self.plans))
-        builder = _TaskBuilder(use_process=(backend == "process"),
-                               ingest=None)
-        accepted = 0
-        for g, plan in enumerate(self.plans):
-            rows = records[assignment == g]
-            if len(rows) == 0:
-                continue
-            if plan.num_cells < 2:
-                accepted += self._admit_trivial(g, len(rows))
-                continue
-            columns = [rows[:, t] for t in plan.grid.column_indices]
-            bounds = chunk_bounds(len(rows), self.config.chunk_size)
-            shard_rngs = ([group_rngs[g]] if len(bounds) == 1
-                          else spawn(group_rngs[g], len(bounds)))
-            builder.add_perturb(
-                g, plan, self._oracles[plan.key], columns,
-                keys=[(g, t) for t in plan.grid.column_indices],
-                bounds=bounds, shard_rngs=shard_rngs,
-                epsilon=self.config.epsilon)
-        try:
-            builder.build()
-            reports = run_sharded(builder.tasks, self.config.workers,
-                                  backend=backend,
-                                  retries=self.config.shard_retries,
-                                  fault_injector=self.fault_injector,
-                                  stats=self.exec_stats)
-            for index, (g, report) in enumerate(zip(builder.task_group,
-                                                    reports)):
-                users = self._admit(self.plans[g].key,
-                                    builder.materialize(report, index))
-                self._group_sizes[g] += users
-                accepted += users
-        finally:
-            builder.cleanup()
-        return accepted
 
     def ingest_report(self, key, report, source: str = None) -> bool:
         """Admit one externally produced report for the grid ``key``.

@@ -220,12 +220,6 @@ def _sanitize_hr(report: HRReport, policy: IngestPolicy,
                     domain_size=report.domain_size), int(valid.sum())
 
 
-def _hr_layout(oracle, rows: int) -> dict:
-    """Shared-memory report layout: one (row, bit) pair per user."""
-    return {"rows": ((rows,), np.dtype(np.int64)),
-            "bits": ((rows,), np.dtype(np.int8))}
-
-
 def _hr_analytic(epsilon: float, num_cells: int, n: int) -> float:
     return hr_variance(epsilon, n)
 
@@ -241,7 +235,6 @@ register(ProtocolSpec(
     report_type=HRReport,
     merger=_merge_hr,
     sanitizer=_sanitize_hr,
-    report_layout=_hr_layout,
     analytic_variance=_hr_analytic,
     cell_variance=_hr_cell_variance,
     adaptive_candidate=True,  # never wins over OLH: (e^ε+1)² ≥ 4e^ε

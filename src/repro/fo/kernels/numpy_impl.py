@@ -1,7 +1,7 @@
 """Numpy reference implementations of the compiled kernels.
 
 This module is the **semantic definition** of every kernel in
-:mod:`repro.fo.kernels`: the compiled backends (numba, cc) must agree with
+:mod:`repro.fo.kernels`: the compiled ``cc`` backend must agree with
 these functions *bit for bit* on every input — integer kernels trivially,
 floating-point kernels because both sides perform the same elementary
 operations in the same order (sequential row accumulation, no FMA

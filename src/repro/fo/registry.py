@@ -111,15 +111,6 @@ class ProtocolSpec:
     mergeable, budget_splittable, streamable, one_d_only,
     adaptive_candidate:
         Capability flags; see the module docstring.
-    report_layout:
-        ``(oracle, rows) -> {field: (shape, dtype)}`` declaring, ahead of
-        perturbation, the exact shape and dtype of every *array* field of
-        the report ``perturb`` will return for ``rows`` users. The
-        process-backed executor uses this to preallocate shared-memory
-        output slots so worker processes write report arrays in place
-        instead of pickling them back; non-array fields travel as pickled
-        scalars. ``None`` (the default) is always safe — reports of this
-        protocol are then pickled whole across the process boundary.
     wire_code:
         Stable one-byte protocol tag for the binary wire codec
         (:mod:`repro.wire`). Codes are part of the wire format: once a
@@ -140,10 +131,10 @@ class ProtocolSpec:
         protocol dispatches to (perturb transforms, support sweeps,
         merge folds). Purely declarative — the oracle modules call the
         kernel layer directly — but it lets
-        :func:`~repro.fo.adaptive.make_oracle`, worker-process
-        initializers, and :func:`kernels_for` warm exactly the kernels a
-        plan will hit before any timed work, so JIT-compile or
-        shared-library-load cost never lands inside a measured stage.
+        :func:`~repro.fo.adaptive.make_oracle` and :func:`kernels_for`
+        warm exactly the kernels a plan will hit before any timed work,
+        so compile or shared-library-load cost never lands inside a
+        measured stage.
         Names are validated against
         :data:`repro.fo.kernels.KERNEL_NAMES` at registration.
     """
@@ -161,7 +152,6 @@ class ProtocolSpec:
     streamable: bool = True
     one_d_only: bool = False
     adaptive_candidate: bool = False
-    report_layout: Optional[Callable[[FrequencyOracle, int], dict]] = None
     wire_code: Optional[int] = None
     interactive_fit: Optional[Callable] = None
     grid_estimator: Optional[Callable] = None
@@ -567,40 +557,6 @@ def _sanitize_sw(report: SWReport, policy: IngestPolicy,
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory report layouts of the built-in report types: the exact
-# (shape, dtype) of every array field ``perturb`` emits for ``rows``
-# users, declared up front so the process-backed executor can reserve
-# output slots before the shard runs. Per-user-row protocols scale with
-# the shard (GRR/OLH), aggregate protocols with the domain (the rest).
-# ---------------------------------------------------------------------------
-
-
-def _layout_grr(oracle, rows: int) -> dict:
-    return {"values": ((rows,), np.dtype(np.int64))}
-
-
-def _layout_olh(oracle, rows: int) -> dict:
-    return {"seeds": ((rows,), np.dtype(np.uint64)),
-            "buckets": ((rows,), np.dtype(np.uint64))}
-
-
-def _layout_oue(oracle, rows: int) -> dict:
-    return {"ones": ((oracle.domain_size,), np.dtype(np.int64))}
-
-
-def _layout_she(oracle, rows: int) -> dict:
-    return {"sums": ((oracle.domain_size,), np.dtype(np.float64))}
-
-
-def _layout_the(oracle, rows: int) -> dict:
-    return {"supports": ((oracle.domain_size,), np.dtype(np.int64))}
-
-
-def _layout_sw(oracle, rows: int) -> dict:
-    return {"counts": ((oracle.report_buckets,), np.dtype(np.int64))}
-
-
-# ---------------------------------------------------------------------------
 # Variance models. The unary/histogram/square-wave protocols have no
 # closed form that grows with the cell count; OLH's size-independent
 # variance is their planning proxy (exactly the pre-registry behavior).
@@ -674,7 +630,6 @@ def _estimate_ahead_group(group):
 register(ProtocolSpec(
     name="grr",
     wire_code=1,
-    report_layout=_layout_grr,
     factory=GeneralizedRandomizedResponse,
     report_type=GRRReport,
     merger=_merge_grr,
@@ -689,7 +644,6 @@ register(ProtocolSpec(
 register(ProtocolSpec(
     name="olh",
     wire_code=2,
-    report_layout=_layout_olh,
     factory=OptimizedLocalHashing,
     report_type=OLHReport,
     merger=_merge_olh,
@@ -703,7 +657,6 @@ register(ProtocolSpec(
 register(ProtocolSpec(
     name="oue",
     wire_code=3,
-    report_layout=_layout_oue,
     factory=OptimizedUnaryEncoding,
     report_type=OUEReport,
     merger=_merge_oue,
@@ -716,7 +669,6 @@ register(ProtocolSpec(
 register(ProtocolSpec(
     name="sue",
     wire_code=4,
-    report_layout=_layout_oue,
     factory=SymmetricUnaryEncoding,
     report_type=OUEReport,  # SUE perturbs into OUE's container
     merger=_merge_oue,
@@ -729,7 +681,6 @@ register(ProtocolSpec(
 register(ProtocolSpec(
     name="she",
     wire_code=5,
-    report_layout=_layout_she,
     factory=SummationHistogramEncoding,
     report_type=SHEReport,
     merger=_merge_she,
@@ -742,7 +693,6 @@ register(ProtocolSpec(
 register(ProtocolSpec(
     name="the",
     wire_code=6,
-    report_layout=_layout_the,
     factory=ThresholdHistogramEncoding,
     report_type=THEReport,
     merger=_merge_the,
@@ -755,7 +705,6 @@ register(ProtocolSpec(
 register(ProtocolSpec(
     name="sw",
     wire_code=7,
-    report_layout=_layout_sw,
     factory=SquareWave,
     report_type=SWReport,
     merger=_merge_sw,

@@ -3,20 +3,17 @@
 The strongest property the fault-tolerant executor promises: a collection
 that loses any shard to a transient fault and retries it is
 **bit-identical** to the fault-free run at the same ``(seed, chunk_size)``
-— retried shard tasks replay their snapshotted RNG stream, on the thread
-*and* the process backend. Also covered: deterministic (ReproError)
-failures are never retried and fail fast (queued shards are cancelled),
-exhausted retries surface the original exception, a hard-killed worker
-process breaks the pool without leaking shared memory, pool-creation
-failure degrades to inline execution, and the stage timers stay exact
-(and repr-safe) under concurrent updates.
+— retried shard tasks replay their snapshotted RNG stream, inline *and*
+on the thread pool. Also covered: deterministic (ReproError) failures
+are never retried and fail fast (queued shards are cancelled), exhausted
+retries surface the original exception, pool-creation failure degrades
+to inline execution, and the stage timers stay exact (and repr-safe)
+under concurrent updates.
 """
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -37,7 +34,6 @@ from repro.robustness import (
 from tests.test_parallel_pipeline import (
     assert_same_reports,
     planned_collection,
-    shm_segments,
 )
 
 pytestmark = pytest.mark.faults
@@ -50,68 +46,47 @@ def dataset():
                           rng=2)
 
 
-class KillShardInjector(FaultInjector):
-    """Chaos injector simulating a hard worker death (OOM kill, SIGKILL):
-    the victim shard exits its process with no Python-level cleanup.
-
-    Only safe under ``backend="process"`` — anywhere else ``os._exit``
-    would take the test process down with it.
-    """
-
-    def __init__(self, victim: int):
-        super().__init__()
-        self.victim = victim
-
-    def __getstate__(self):
-        state = super().__getstate__()
-        state["victim"] = self.victim
-        return state
-
-    def __setstate__(self, state):
-        victim = state.pop("victim")
-        super().__setstate__(state)
-        self.victim = victim
-
-    def maybe_fail(self, shard: int, attempt: int) -> None:
-        if shard == self.victim:
-            os._exit(1)
+#: the two paths of ``run_sharded``: one worker runs shards inline, more
+#: run them on a thread pool
+EXECUTORS = (1, 4)
+EXECUTOR_IDS = ("inline", "thread")
 
 
 class TestRetryBitIdentity:
     def _collect(self, dataset, injector=None, retries=0, workers=4,
-                 chunk_size=1_000, stats=None, backend="thread"):
+                 chunk_size=1_000, stats=None):
         config = FelipConfig(epsilon=1.0)
         plans, assignment = planned_collection(dataset, config, seed=13)
         return collect_reports(
             dataset.records, assignment, plans, config.epsilon, rng=17,
-            workers=workers, backend=backend, chunk_size=chunk_size,
+            workers=workers, chunk_size=chunk_size,
             retries=retries, fault_injector=injector, exec_stats=stats)
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
+    @pytest.mark.parametrize("workers", EXECUTORS, ids=EXECUTOR_IDS)
     @pytest.mark.parametrize("doomed_shard", [0, 3, 7])
     def test_single_shard_killed_once_is_bit_identical(self, dataset,
                                                        doomed_shard,
-                                                       backend):
+                                                       workers):
         """Losing any single shard once → retried output ≡ fault-free.
-        The fault-free baseline runs on threads, so this also pins the
-        cross-backend half of the determinism contract."""
+        The fault-free baseline runs on the thread pool, so the inline
+        case also pins the workers-invariance half of the contract."""
         baseline = self._collect(dataset)
         injector = FaultInjector(fail=[(doomed_shard, 0)])
         stats = ExecutionStats()
         faulted = self._collect(dataset, injector, retries=1, stats=stats,
-                                backend=backend)
+                                workers=workers)
         assert injector.total_injected == 1
         assert stats.retries == 1
         assert stats.retried_shards == {doomed_shard: 1}
         assert_same_reports(faulted, baseline)
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
+    @pytest.mark.parametrize("workers", EXECUTORS, ids=EXECUTOR_IDS)
     def test_every_shard_killed_once_is_bit_identical(self, dataset,
-                                                      backend):
+                                                      workers):
         baseline = self._collect(dataset)
         injector = FaultInjector(fail_all_first_attempts=True)
         faulted = self._collect(dataset, injector, retries=1,
-                                backend=backend)
+                                workers=workers)
         assert injector.total_injected > 1
         assert_same_reports(faulted, baseline)
 
@@ -181,37 +156,21 @@ class TestFailFast:
 
     def test_poisoned_shard_is_never_retried(self, dataset):
         """PoisonedShardError is a ReproError: deterministic, no retry —
-        on both backends (in-worker retry loop included)."""
-        for backend in ("thread", "process"):
+        inline and on the thread pool."""
+        for workers in EXECUTORS:
             injector = FaultInjector(poison=[1])
             with pytest.raises(PoisonedShardError):
                 collect_reports_chaos(dataset, injector, retries=5,
-                                      backend=backend)
-
-    def test_hard_killed_worker_breaks_pool_without_leaks(self, dataset):
-        """A worker dying mid-shard (no Python cleanup at all) must
-        surface as BrokenProcessPool and still leave /dev/shm clean:
-        the parent owns every segment and unlinks in its finally."""
-        config = FelipConfig(epsilon=1.0)
-        plans, assignment = planned_collection(dataset, config, seed=13)
-        before = shm_segments()
-        stats = ExecutionStats()
-        with pytest.raises(BrokenProcessPool):
-            collect_reports(
-                dataset.records, assignment, plans, config.epsilon,
-                rng=17, workers=4, backend="process", chunk_size=1_000,
-                fault_injector=KillShardInjector(victim=2),
-                exec_stats=stats)
-        assert stats.failed_shards >= 1
-        assert shm_segments() <= before
+                                      workers=workers)
+            assert injector.total_injected == 1
 
 
-def collect_reports_chaos(dataset, injector, retries, backend):
+def collect_reports_chaos(dataset, injector, retries, workers):
     config = FelipConfig(epsilon=1.0)
     plans, assignment = planned_collection(dataset, config, seed=13)
     return collect_reports(
         dataset.records, assignment, plans, config.epsilon, rng=17,
-        workers=4, backend=backend, chunk_size=1_000, retries=retries,
+        workers=workers, chunk_size=1_000, retries=retries,
         fault_injector=injector)
 
 

@@ -39,9 +39,8 @@ from tests.test_parallel_pipeline import (
     planned_collection,
 )
 
-#: every compiled backend that actually loads here (may be empty when
-#: neither numba nor a C toolchain is present — then only the dispatch
-#: and fallback tests run)
+#: every compiled backend that actually loads here (empty when no C
+#: toolchain is present — then only the dispatch and fallback tests run)
 COMPILED = tuple(b for b in kernels.available_backends() if b != "numpy")
 
 needs_compiled = pytest.mark.skipif(
@@ -251,8 +250,7 @@ class TestPipelineBitIdentity:
                     config.epsilon, rng=17)
             return collect_reports(
                 pipeline_dataset.records, assignment, plans,
-                config.epsilon, rng=17, workers=4, backend="thread",
-                chunk_size=1_000)
+                config.epsilon, rng=17, workers=4, chunk_size=1_000)
 
         with kernels.use_backend("numpy"):
             reference_serial = collect(serial=True)

@@ -237,7 +237,7 @@ class TestKillAndResume:
     def test_chaos_killed_aggregator_resumes_bit_identical(self, dataset):
         """FaultInjector poisons the victim mid-batch; the restored
         collector replays the tail and matches the uninterrupted run."""
-        kwargs = dict(workers=2, backend="thread", chunk_size=256)
+        kwargs = dict(workers=2, chunk_size=256)
         batches = [dataset.records[i::4] for i in range(4)]
 
         uninterrupted = make_collector(dataset, **kwargs)

@@ -146,7 +146,7 @@ class TestChunkedSharding:
             return real(tasks, *args, **kwargs)
 
         monkeypatch.setattr(streaming_module, "run_sharded", spy)
-        collector = make_collector(dataset, workers=2, backend="thread",
+        collector = make_collector(dataset, workers=2,
                                    chunk_size=chunk_size)
         collector.observe(dataset.records[:3_000])
         collector.finalize()
@@ -164,14 +164,13 @@ class TestChunkedSharding:
     @settings(max_examples=6, deadline=None)
     def test_output_invariant_to_workers_and_backend(self, dataset,
                                                      chunk_size, workers):
-        """Pure function of (seed, chunk_size): worker count and backend
-        never change the finalized answer."""
+        """Pure function of (seed, chunk_size): the worker count never
+        changes the finalized answer — workers=1 runs the same sharded
+        path inline."""
         q = Query([between("num_0", 4, 20)])
         answers = []
-        for w, backend in ((2, "thread"), (workers, "thread"),
-                           (workers, "process")):
+        for w in (1, 2, workers):
             collector = make_collector(dataset, workers=w,
-                                       backend=backend,
                                        chunk_size=chunk_size)
             collector.observe(dataset.records[:2_000])
             answers.append(collector.finalize().answer(q))
