@@ -36,8 +36,10 @@ test-service:
 	$(PY) -m pytest tests/test_service.py tests/test_service_client.py -q
 
 # The end-to-end benchmark's own tests (outside the tier-1 testpaths).
+# PYTHONPATH=src lets pytest import the ConvergenceWarning category that
+# pyproject's filterwarnings names.
 test-bench:
-	python3 -m pytest felipbench -q
+	PYTHONPATH=src python3 -m pytest felipbench -q
 
 # Micro-primitive benchmarks (tiled OLH kernel, perturb/estimate, HIO
 # answer throughput). Writes BENCH_kernels.json so PRs can diff kernel

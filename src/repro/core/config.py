@@ -59,7 +59,9 @@ class FelipConfig:
     postprocess_rounds:
         Consistency/non-negativity alternations (0 = non-negativity only).
     response_matrix_max_iters, lambda_max_iters:
-        Iteration caps of Algorithms 3 and 4.
+        Sweep caps of Algorithms 3 and 4 — backstops only: each fit stops
+        as soon as its iterate settles (moves less than ``1/n`` in L1
+        over a sweep), and hitting a cap emits a ``ConvergenceWarning``.
     shared_granularity:
         TDG/HDG mode: one granularity for all 1-D grids and one for all 2-D
         numerical axes, derived from the largest numerical domain.
@@ -139,7 +141,7 @@ class FelipConfig:
     expected_selectivity: float = 0.5
     selectivity_overrides: Dict[str, float] = field(default_factory=dict)
     postprocess_rounds: int = 2
-    response_matrix_max_iters: int = 100
+    response_matrix_max_iters: int = 500
     lambda_max_iters: int = 500
     shared_granularity: bool = False
     power_of_two_granularity: bool = False

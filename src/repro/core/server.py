@@ -36,6 +36,7 @@ from repro.data.dataset import Dataset
 from repro.errors import ConvergenceWarning, NotFittedError, QueryError
 from repro.estimation.engine import SummedAreaTable
 from repro.estimation.lambda_query import (
+    LambdaFits,
     canonical_pairs,
     fit_lambda_queries,
     pair_answers_tables,
@@ -257,18 +258,17 @@ class Aggregator:
 
     @staticmethod
     def _fresh_lambda_stats() -> Dict[str, int]:
-        return {"queries": 0, "non_converged": 0, "total_sweeps": 0,
-                "max_sweeps": 0}
+        return {"queries": 0, "non_converged": 0, "infeasible": 0,
+                "total_sweeps": 0, "max_sweeps": 0}
 
-    def _record_lambda(self, sweeps, converged) -> None:
+    def _record_lambda(self, fits: LambdaFits) -> None:
         """Fold per-query λ-IPF diagnostics into the running counters."""
-        sweeps = np.atleast_1d(np.asarray(sweeps, dtype=np.int64))
-        converged = np.atleast_1d(np.asarray(converged, dtype=bool))
-        self._lambda_stats["queries"] += int(sweeps.size)
-        self._lambda_stats["non_converged"] += int((~converged).sum())
-        self._lambda_stats["total_sweeps"] += int(sweeps.sum())
+        self._lambda_stats["queries"] += int(fits.sweeps.size)
+        self._lambda_stats["non_converged"] += int((~fits.converged).sum())
+        self._lambda_stats["infeasible"] += int(fits.infeasible.sum())
+        self._lambda_stats["total_sweeps"] += int(fits.sweeps.sum())
         self._lambda_stats["max_sweeps"] = max(
-            self._lambda_stats["max_sweeps"], int(sweeps.max()))
+            self._lambda_stats["max_sweeps"], int(fits.sweeps.max()))
 
     def _build_matrix(self, i: int, j: int
                       ) -> Tuple[np.ndarray, IPFDiagnostics]:
@@ -388,8 +388,10 @@ class Aggregator:
 
         ``response_matrices`` maps each built pair to its Algorithm 3
         :class:`~repro.estimation.IPFDiagnostics`; ``lambda_queries``
-        accumulates Algorithm 4 sweep counters across every λ ≥ 3 answer
-        since the last fit. Counters reset on refit.
+        accumulates Algorithm 4 counters across every λ ≥ 3 answer since
+        the last fit: ``non_converged`` counts queries that hit the sweep
+        cap before settling, ``infeasible`` those that settled with a
+        constraint residual still ``>= 1/n``. Counters reset on refit.
         """
         self._require_fitted()
         return {
@@ -774,18 +776,18 @@ class Aggregator:
             tables[:, p] = self._pair_tables(
                 key[a], key[b], [preds[a] for preds in batch],
                 [preds[b] for preds in batch])
-        values, sweeps, converged = fit_lambda_queries(
+        fits = fit_lambda_queries(
             tables, len(key), self.n,
             max_iters=self.config.lambda_max_iters, pairs=pairs)
-        self._record_lambda(sweeps, converged)
-        if not converged.all():
-            behind = int((~converged).sum())
+        self._record_lambda(fits)
+        if not fits.converged.all():
+            behind = int((~fits.converged).sum())
             warnings.warn(
                 f"lambda-query batch (lambda={len(key)}): {behind} of "
                 f"{len(batch)} queries hit the sweep cap "
-                f"({self.config.lambda_max_iters})",
+                f"({self.config.lambda_max_iters}) before settling",
                 ConvergenceWarning, stacklevel=3)
-        return values
+        return fits.estimates
 
     # -- plan-node executors -----------------------------------------------------
 

@@ -92,12 +92,13 @@ class NotFittedError(ReproError):
 
 
 class ConvergenceWarning(UserWarning):
-    """An iterative fit (Algorithm 3 / 4 IPF sweep) hit its iteration cap.
+    """An iterative fit (Algorithm 3 / 4 IPF sweep) hit its sweep cap.
 
     Emitted via :func:`warnings.warn` when a response-matrix or λ-D
-    estimate stops at ``max_iters`` with the sweep change still above the
-    ``1/n`` threshold. The estimate is still returned — non-convergence
-    bounds its residual, it does not invalidate it — but callers that care
-    can escalate the warning or inspect
-    :meth:`repro.core.Aggregator.fit_diagnostics`.
+    estimate reaches ``max_iters`` before it settles — its last sweep
+    still moved the iterate by ``1/n`` or more (L1). A fit that settles
+    with constraints it cannot meet is not warned about; it is reported
+    as infeasible in :meth:`repro.core.Aggregator.fit_diagnostics`. The
+    estimate is still returned; callers that care can escalate the
+    warning or inspect the diagnostics.
     """

@@ -3,14 +3,13 @@
 from repro.estimation.response_matrix import (
     IPFDiagnostics,
     build_response_matrix,
-    build_response_matrix_reference,
     fit_response_matrix,
 )
 from repro.estimation.lambda_query import (
+    LambdaFits,
     PairAnswers,
     canonical_pairs,
     estimate_lambda_query,
-    estimate_lambda_query_reference,
     fit_lambda_queries,
     fit_lambda_query,
     pair_answers_from_matrix,
@@ -22,14 +21,13 @@ __all__ = [
     "IPFDiagnostics",
     "SummedAreaTable",
     "build_response_matrix",
-    "build_response_matrix_reference",
     "fit_response_matrix",
+    "LambdaFits",
     "PairAnswers",
     "canonical_pairs",
     "pair_answers_from_matrix",
     "pair_answers_tables",
     "estimate_lambda_query",
-    "estimate_lambda_query_reference",
     "fit_lambda_query",
     "fit_lambda_queries",
 ]

@@ -12,6 +12,14 @@ fully constrains the pair's 2-D margin of ``z`` — this is the variant the
 HDG reference implementation uses, and it converges to the maximum-entropy
 distribution consistent with the pairwise answers.
 
+Stopping rule (as in Algorithm 3): a query stops when ``z`` settles — the
+L1 distance it moves over one full sweep falls below ``1/n`` — with a
+sweep cap as a backstop. Sign tables derived from different response
+matrices can disagree on a shared predicate's margin; cyclic scaling then
+settles into a fixed point whose constraint residual never reaches
+``1/n``. That residual is kept as a per-query infeasibility diagnostic,
+not used as the stop test.
+
 Vectorized sweep
 ----------------
 ``z`` is viewed as a ``(2,) * λ`` tensor in which predicate ``t`` owns axis
@@ -21,8 +29,8 @@ are disjoint, so the whole pair applies as ONE broadcast rescale instead of
 four fancy-indexed member-list updates. The same kernel runs *batched*:
 stacking ``Q`` queries' ``z`` vectors into a ``(Q, 2^λ)`` array sweeps every
 query simultaneously, with per-query convergence freezing so each query's
-trajectory is identical to its solo run. The original per-member-list loop
-is retained as :func:`estimate_lambda_query_reference` for property tests.
+trajectory is identical to its solo run. The property tests keep the
+original per-member-list loop as an oracle.
 """
 
 from __future__ import annotations
@@ -173,9 +181,34 @@ def _broadcast_tables(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
     return out
 
 
+@dataclass(frozen=True)
+class LambdaFits:
+    """Per-query outcome of one batched Algorithm 4 run (``(Q,)`` arrays).
+
+    ``final_change`` is the L1 distance each ``z`` moved over its last
+    sweep, ``residual`` that sweep's constraint residual. Unpacks as
+    ``estimates, sweeps, converged``.
+    """
+
+    estimates: np.ndarray
+    sweeps: np.ndarray
+    converged: np.ndarray
+    final_change: np.ndarray
+    residual: np.ndarray
+    threshold: float
+
+    @property
+    def infeasible(self) -> np.ndarray:
+        """Queries that settled short of their sign tables by >= ``1/n``."""
+        return self.converged & (self.residual >= self.threshold)
+
+    def __iter__(self):
+        return iter((self.estimates, self.sweeps, self.converged))
+
+
 def _lambda_ipf(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
                 dimension: int, threshold: float, max_iters: int
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                ) -> LambdaFits:
     """Batched iterative-scaling kernel over stacked sign tables.
 
     Parameters
@@ -186,13 +219,12 @@ def _lambda_ipf(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
     pairs:
         Update order of the ``C(λ, 2)`` pairs within a sweep.
     threshold, max_iters:
-        Per-query convergence threshold and sweep cap.
+        Per-query settling threshold (L1 move per sweep) and sweep cap.
 
-    Returns ``(z, sweeps, converged, final_change)``: ``z`` is the
-    ``(Q, 2^λ)`` fitted sign-pattern distribution; the other three are
-    per-query diagnostics. Converged queries are frozen — removed from the
-    active batch — so every query's trajectory is exactly what a solo run
-    would produce.
+    Fits the ``(Q, 2^λ)`` sign-pattern distributions ``z`` and returns
+    each query's estimate ``z[q, all bits set]`` with its diagnostics.
+    Settled queries are frozen — removed from the active batch — so every
+    query's trajectory is exactly what a solo run would produce.
     """
     q = tables.shape[0]
     size = 1 << dimension
@@ -209,13 +241,14 @@ def _lambda_ipf(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
     sweeps = np.full(q, max_iters, dtype=np.int64)
     converged = np.zeros(q, dtype=bool)
     final_change = np.zeros(q)
+    residual = np.zeros(q)
     active = np.arange(q)
     for sweep in range(1, max_iters + 1):
         if active.size == 0:
             break
         z_act = z[active]
         zi = z_act.reshape((len(active),) + (2,) * dimension)
-        change = np.zeros(len(active))
+        sweep_residual = np.zeros(len(active))
         for axes, table in zip(axis_sets, broadcast):
             t = table[active]
             tot = zi.sum(axis=axes, keepdims=True)
@@ -223,20 +256,24 @@ def _lambda_ipf(tables: np.ndarray, pairs: Sequence[Tuple[int, int]],
             scale = np.divide(t, tot, out=np.ones_like(tot), where=pos)
             contrib = np.where(pos, np.abs(t - tot),
                                np.where(t > 0.0, t, 0.0))
-            change += contrib.reshape(len(active), -1).sum(axis=1)
+            sweep_residual += contrib.reshape(len(active), -1).sum(axis=1)
             zi *= scale
             refill = (~pos) & (t > 0.0)
             if refill.any():
                 zi[...] = np.where(refill, t / block, zi)
+        moved = np.abs(z_act - z[active]).sum(axis=1)
         z[active] = z_act
-        final_change[active] = change
-        done = change < threshold
+        final_change[active] = moved
+        residual[active] = sweep_residual
+        done = moved < threshold
         if done.any():
             settled = active[done]
             converged[settled] = True
             sweeps[settled] = sweep
             active = active[~done]
-    return z, sweeps, converged, final_change
+    return LambdaFits(estimates=z[:, -1].copy(), sweeps=sweeps,
+                      converged=converged, final_change=final_change,
+                      residual=residual, threshold=threshold)
 
 
 def fit_lambda_query(
@@ -254,24 +291,27 @@ def fit_lambda_query(
     dimension:
         λ ≥ 2.
     n:
-        Population size (convergence threshold ``1/n``).
+        Population size (settling threshold ``1/n``).
     max_iters:
         Backstop on full sweeps.
 
     Returns the estimate plus :class:`IPFDiagnostics`; emits a
-    :class:`~repro.errors.ConvergenceWarning` when the sweep cap is hit.
+    :class:`~repro.errors.ConvergenceWarning` when the sweep cap is hit
+    before ``z`` settles.
     """
     _validate_pair_answers(pair_answers, dimension, n)
     pairs = list(pair_answers)
     tables = np.stack([pair_answers[p].as_table() for p in pairs])[None]
     threshold = 1.0 / n
-    z, sweeps, converged, change = _lambda_ipf(tables, pairs, dimension,
-                                               threshold, max_iters)
-    diag = IPFDiagnostics(sweeps=int(sweeps[0]), converged=bool(converged[0]),
-                          final_change=float(change[0]), threshold=threshold)
+    fits = _lambda_ipf(tables, pairs, dimension, threshold, max_iters)
+    diag = IPFDiagnostics(sweeps=int(fits.sweeps[0]),
+                          converged=bool(fits.converged[0]),
+                          final_change=float(fits.final_change[0]),
+                          residual=float(fits.residual[0]),
+                          threshold=threshold)
     _warn_non_convergence(f"lambda-query combination (lambda={dimension})",
                           diag)
-    return float(z[0, -1]), diag
+    return float(fits.estimates[0]), diag
 
 
 def estimate_lambda_query(
@@ -286,7 +326,7 @@ def estimate_lambda_query(
 def fit_lambda_queries(
         tables: np.ndarray, dimension: int, n: int, max_iters: int = 500,
         pairs: Optional[Sequence[Tuple[int, int]]] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> LambdaFits:
     """Batched Algorithm 4: many queries' sign tables in one IPF.
 
     Parameters
@@ -298,17 +338,17 @@ def fit_lambda_queries(
     dimension:
         λ ≥ 2, shared by every query in the batch.
     n:
-        Population size (convergence threshold ``1/n``).
+        Population size (settling threshold ``1/n``).
     max_iters:
         Backstop on full sweeps per query.
     pairs:
         Pair order matching ``tables``'s second axis; defaults to
         :func:`canonical_pairs` (lexicographic).
 
-    Returns ``(estimates, sweeps, converged)``: the ``(Q,)`` λ-D answers
-    plus per-query convergence diagnostics. Each query's result is
-    identical to running it alone — converged queries freeze while the
-    rest keep sweeping.
+    Returns :class:`LambdaFits` — the ``(Q,)`` λ-D answers plus per-query
+    diagnostics; it unpacks as ``estimates, sweeps, converged``. Each
+    query's result is identical to running it alone — settled queries
+    freeze while the rest keep sweeping.
     """
     if dimension < 2:
         raise EstimationError(f"dimension must be >= 2, got {dimension}")
@@ -326,51 +366,4 @@ def fit_lambda_queries(
         raise EstimationError(
             f"pairs {sorted(pairs)} do not cover all C({dimension}, 2) "
             f"position pairs")
-    z, sweeps, converged, _ = _lambda_ipf(tables, list(pairs), dimension,
-                                          1.0 / n, max_iters)
-    return z[:, -1].copy(), sweeps, converged
-
-
-def estimate_lambda_query_reference(
-        pair_answers: Dict[Tuple[int, int], PairAnswers],
-        dimension: int, n: int, max_iters: int = 500) -> float:
-    """Per-member-list reference implementation of Algorithm 4.
-
-    Retained verbatim for property tests: the broadcast tensor sweep of
-    :func:`fit_lambda_query` must reproduce this loop to float round-off,
-    because the four sign blocks of one pair partition ``z`` (disjoint
-    member sets), making the fused rescale order-equivalent.
-    """
-    _validate_pair_answers(pair_answers, dimension, n)
-
-    size = 1 << dimension
-    z = np.full(size, 1.0 / size)
-    masks = np.arange(size)
-    # Precompute, per pair and sign combination, the member index arrays
-    # (fancy indexing is markedly faster than boolean masks here).
-    updates = []
-    for (i, j), answers in pair_answers.items():
-        table = answers.as_table()
-        bit_i = (masks >> i) & 1
-        bit_j = (masks >> j) & 1
-        for si in (0, 1):
-            for sj in (0, 1):
-                members = np.flatnonzero((bit_i == si) & (bit_j == sj))
-                updates.append((members, float(table[si, sj])))
-
-    threshold = 1.0 / n
-    for _ in range(max_iters):
-        change = 0.0
-        for members, target in updates:
-            block = z[members]
-            total = block.sum()
-            if total <= 0.0:
-                if target > 0.0:
-                    z[members] = target / len(members)
-                    change += target
-                continue
-            change += abs(target - total)
-            z[members] = block * (target / total)
-        if change < threshold:
-            break
-    return float(z[size - 1])
+    return _lambda_ipf(tables, list(pairs), dimension, 1.0 / n, max_iters)

@@ -5,8 +5,16 @@ per 2-D *value* ``(x, y)`` — finer than any grid. It is fit by iterative
 proportional scaling: repeatedly, for every cell ``c`` of every related grid
 (Γ = the pair's 2-D grid plus the attributes' 1-D grids when they exist),
 rescale the entries in ``c``'s subdomain so their total matches the cell's
-estimated mass ``f_c``. Convergence: total absolute change per sweep below
-``1/n`` (paper's threshold), with a hard iteration cap as a backstop.
+estimated mass ``f_c``.
+
+Stopping rule: the fit stops when the iterate settles — the L1 distance
+``M`` moves over one full sweep falls below ``1/n`` (the paper's
+threshold) — with a hard sweep cap as a backstop. The constraint residual
+(``sum |f_c - total_c|`` over the sweep) is not the stop test: post-
+processed grids can disagree slightly on a shared attribute, and then
+cyclic scaling settles into a fixed point whose residual never reaches
+``1/n``. The residual is reported instead as an infeasibility diagnostic
+(:attr:`IPFDiagnostics.infeasible`).
 
 When both attributes are categorical the pair's 2-D grid already has one
 cell per value, so ``M`` is just its matrix (the paper's special case).
@@ -21,44 +29,54 @@ whole grid can be applied as ONE fused update: per-cell block sums via
 ``np.add.reduceat`` along each axis, a per-cell scale factor, and a single
 elementwise multiply through the grid's precomputed row/column cell-id maps.
 That turns a sweep from O(cells) Python iterations into one fused multiply
-per grid, with results identical to the sequential reference (retained as
-:func:`build_response_matrix_reference` and property-tested against).
+per grid, with results identical to the sequential per-constraint loop the
+property tests keep as an oracle.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConvergenceWarning, EstimationError
 from repro.grids.grid import Grid1D, Grid2D, GridEstimate
 
-#: (row_lo, row_hi_excl, col_lo, col_hi_excl, target_mass)
-_Constraint = Tuple[int, int, int, int, float]
-
 
 @dataclass(frozen=True)
 class IPFDiagnostics:
     """Convergence accounting of one iterative-proportional-fit run.
 
-    ``sweeps`` counts full passes executed (including the converging one);
-    ``converged`` is True when the final sweep's total absolute change fell
-    below ``threshold`` (``1/n``) before the ``max_iters`` cap.
+    ``sweeps`` counts full passes executed (including the settling one).
+    ``final_change`` is the L1 distance the iterate moved over the last
+    sweep; ``converged`` is True when it fell below ``threshold``
+    (``1/n``) before the ``max_iters`` cap. ``residual`` is the last
+    sweep's constraint residual. A fit that settled with
+    ``residual >= threshold`` is flagged :attr:`infeasible`: its
+    constraints disagree by that much, and no further sweep closes the
+    gap. (A feasible fit that contracts slowly can be flagged too, since
+    its residual runs a few times its last move when it settles.)
     """
 
     sweeps: int
     converged: bool
     final_change: float
+    residual: float
     threshold: float
+
+    @property
+    def infeasible(self) -> bool:
+        """Settled, but short of its constraints by ``threshold`` or more."""
+        return self.converged and self.residual >= self.threshold
 
     def as_dict(self) -> dict:
         return {
             "sweeps": self.sweeps,
             "converged": self.converged,
             "final_change": self.final_change,
+            "residual": self.residual,
             "threshold": self.threshold,
         }
 
@@ -66,55 +84,10 @@ class IPFDiagnostics:
 def _warn_non_convergence(what: str, diag: IPFDiagnostics) -> None:
     if not diag.converged:
         warnings.warn(
-            f"{what} did not converge in {diag.sweeps} sweeps "
-            f"(last change {diag.final_change:.3e} >= threshold "
+            f"{what} did not settle in {diag.sweeps} sweeps "
+            f"(last move {diag.final_change:.3e} >= threshold "
             f"{diag.threshold:.3e}); consider raising max_iters",
             ConvergenceWarning, stacklevel=3)
-
-
-def _constraints_for(estimate: GridEstimate, attr_i: int, attr_j: int,
-                     di: int, dj: int) -> List[_Constraint]:
-    """Rectangle constraints that ``estimate`` imposes on the (i, j) matrix."""
-    grid = estimate.grid
-    constraints: List[_Constraint] = []
-    if isinstance(grid, Grid1D):
-        binning = grid.binning
-        for cell in range(binning.num_cells):
-            lo, hi = binning.bounds(cell)
-            mass = float(estimate.frequencies[cell])
-            if grid.attr_index == attr_i:
-                constraints.append((lo, hi + 1, 0, dj, mass))
-            elif grid.attr_index == attr_j:
-                constraints.append((0, di, lo, hi + 1, mass))
-            else:
-                raise EstimationError(
-                    f"1-D grid over attribute {grid.attr_index} unrelated "
-                    f"to pair ({attr_i}, {attr_j})"
-                )
-        return constraints
-
-    if not isinstance(grid, Grid2D):
-        raise EstimationError(f"unsupported grid type {type(grid).__name__}")
-    if grid.attr_index_x == attr_i and grid.attr_index_y == attr_j:
-        bx, by, transpose = grid.binning_x, grid.binning_y, False
-    elif grid.attr_index_x == attr_j and grid.attr_index_y == attr_i:
-        bx, by, transpose = grid.binning_x, grid.binning_y, True
-    else:
-        raise EstimationError(
-            f"2-D grid over {grid.key} unrelated to pair "
-            f"({attr_i}, {attr_j})"
-        )
-    matrix = estimate.matrix()
-    for cx in range(bx.num_cells):
-        x_lo, x_hi = bx.bounds(cx)
-        for cy in range(by.num_cells):
-            y_lo, y_hi = by.bounds(cy)
-            mass = float(matrix[cx, cy])
-            if transpose:
-                constraints.append((y_lo, y_hi + 1, x_lo, x_hi + 1, mass))
-            else:
-                constraints.append((x_lo, x_hi + 1, y_lo, y_hi + 1, mass))
-    return constraints
 
 
 class _GridPartition:
@@ -150,21 +123,31 @@ class _GridPartition:
         return len(self.col_offsets) == 1
 
     def block_sums(self, m: np.ndarray) -> np.ndarray:
-        """Per-cell block sums of ``m`` — one reduceat per axis."""
-        sums = np.add.reduceat(m, self.row_offsets, axis=0)
-        return np.add.reduceat(sums, self.col_offsets, axis=1)
+        """Per-cell block sums of ``m``.
+
+        A 1-D grid reduces the matrix to its row (or column) sums first;
+        a 2-D grid reduces along the contiguous column axis first. Both
+        orders keep ``reduceat`` off the strided axis of the full matrix,
+        its slow path.
+        """
+        if self.spans_all_cols:
+            return np.add.reduceat(m.sum(axis=1), self.row_offsets)[:, None]
+        if self.spans_all_rows:
+            return np.add.reduceat(m.sum(axis=0), self.col_offsets)[None, :]
+        sums = np.add.reduceat(m, self.col_offsets, axis=1)
+        return np.add.reduceat(sums, self.row_offsets, axis=0)
 
     def expand(self, cells: np.ndarray) -> np.ndarray:
         """Gather a per-cell array out to the full matrix shape."""
-        return cells[self.row_cell[:, None], self.col_cell]
+        return cells.take(self.row_cell, axis=0).take(self.col_cell, axis=1)
 
     def apply(self, m: np.ndarray) -> float:
         """One fused weighted-update of this grid's constraints, in place.
 
-        Returns the constraint set's contribution to the sweep change
+        Returns the constraint set's contribution to the sweep's residual
         (``sum |target - total|`` over positive-mass cells plus the target
         mass poured into repopulated zero-mass cells) — identical to the
-        sequential reference because the cells are disjoint.
+        sequential per-constraint loop because the cells are disjoint.
         """
         sums = self.block_sums(m)
         pos = sums > 0.0
@@ -176,7 +159,7 @@ class _GridPartition:
         elif self.spans_all_rows:
             m *= scale[:, self.col_cell]
         else:
-            m *= scale[self.row_cell[:, None], self.col_cell]
+            m *= self.expand(scale)
         refill = (~pos) & (self.targets > 0.0)
         if refill.any():
             change += float(self.targets[refill].sum())
@@ -262,7 +245,7 @@ def _trivial_fast_path(related: Sequence[GridEstimate], attr_i: int,
 
 def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
                         attr_j: int, di: int, dj: int, n: int,
-                        max_iters: int = 100,
+                        max_iters: int = 500,
                         prior: np.ndarray = None
                         ) -> Tuple[np.ndarray, IPFDiagnostics]:
     """Fit the ``d_i x d_j`` response matrix ``M(i, j)`` (vectorized).
@@ -277,7 +260,8 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
     di, dj:
         The attributes' domain sizes.
     n:
-        Population size; the convergence threshold is ``1/n``.
+        Population size; the fit stops once a sweep moves ``M`` by less
+        than ``1/n`` in L1.
     max_iters:
         Backstop on the number of full sweeps.
     prior:
@@ -290,7 +274,8 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
     -------
     The fitted matrix plus the sweep's :class:`IPFDiagnostics`. A
     :class:`~repro.errors.ConvergenceWarning` is emitted when the fit hits
-    ``max_iters`` without meeting the ``1/n`` threshold.
+    ``max_iters`` before the iterate settles; a settled fit whose
+    constraints disagree is reported (``infeasible``), not warned about.
     """
     prior = _validate_fit_inputs(related, di, dj, n, prior)
     threshold = 1.0 / n
@@ -298,21 +283,25 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
     fast = _trivial_fast_path(related, attr_i, attr_j)
     if fast is not None:
         return fast, IPFDiagnostics(sweeps=0, converged=True,
-                                    final_change=0.0, threshold=threshold)
+                                    final_change=0.0, residual=0.0,
+                                    threshold=threshold)
 
     partitions = [_partition_for(estimate, attr_i, attr_j, di, dj)
                   for estimate in related]
     m = _initial_matrix(di, dj, prior)
-    change = float("inf")
+    moved = residual = float("inf")
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
-        change = 0.0
+        before = m.copy()
+        residual = 0.0
         for partition in partitions:
-            change += partition.apply(m)
-        if change < threshold:
+            residual += partition.apply(m)
+        moved = float(np.abs(m - before).sum())
+        if moved < threshold:
             break
-    diag = IPFDiagnostics(sweeps=sweeps, converged=change < threshold,
-                          final_change=change, threshold=threshold)
+    diag = IPFDiagnostics(sweeps=sweeps, converged=moved < threshold,
+                          final_change=moved, residual=residual,
+                          threshold=threshold)
     _warn_non_convergence(
         f"response matrix for pair ({attr_i}, {attr_j})", diag)
     return m, diag
@@ -320,51 +309,9 @@ def fit_response_matrix(related: Sequence[GridEstimate], attr_i: int,
 
 def build_response_matrix(related: Sequence[GridEstimate], attr_i: int,
                           attr_j: int, di: int, dj: int, n: int,
-                          max_iters: int = 100,
+                          max_iters: int = 500,
                           prior: np.ndarray = None) -> np.ndarray:
     """Matrix-only convenience over :func:`fit_response_matrix`."""
     matrix, _ = fit_response_matrix(related, attr_i, attr_j, di, dj, n,
                                     max_iters=max_iters, prior=prior)
     return matrix
-
-
-def build_response_matrix_reference(related: Sequence[GridEstimate],
-                                    attr_i: int, attr_j: int, di: int,
-                                    dj: int, n: int, max_iters: int = 100,
-                                    prior: np.ndarray = None) -> np.ndarray:
-    """Sequential per-constraint reference implementation of Algorithm 3.
-
-    Retained verbatim for property tests: the vectorized fused sweep of
-    :func:`fit_response_matrix` must reproduce this loop to float
-    round-off, because each related grid's constraints cover disjoint
-    blocks (see the module docstring).
-    """
-    prior = _validate_fit_inputs(related, di, dj, n, prior)
-    fast = _trivial_fast_path(related, attr_i, attr_j)
-    if fast is not None:
-        return fast
-
-    constraints: List[_Constraint] = []
-    for estimate in related:
-        constraints.extend(
-            _constraints_for(estimate, attr_i, attr_j, di, dj))
-
-    m = _initial_matrix(di, dj, prior)
-    threshold = 1.0 / n
-    for _ in range(max_iters):
-        change = 0.0
-        for row_lo, row_hi, col_lo, col_hi, target in constraints:
-            block = m[row_lo:row_hi, col_lo:col_hi]
-            total = block.sum()
-            if total <= 0.0:
-                if target > 0.0:
-                    per_value = target / block.size
-                    change += target
-                    block[:] = per_value
-                continue
-            scale = target / total
-            change += abs(target - total)
-            block *= scale
-        if change < threshold:
-            break
-    return m

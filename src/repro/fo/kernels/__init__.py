@@ -154,10 +154,13 @@ def active_backends() -> Dict[str, str]:
 
 def backend_report() -> Dict[str, object]:
     """Diagnostic snapshot: active selection, recorded failures, env."""
+    # Resolve first: resolution is what records a failed or unknown
+    # backend, so the errors snapshot must be taken after it.
+    active = active_backends()
     with _lock:
         errors = dict(_errors)
     return {
-        "active": active_backends(),
+        "active": active,
         "errors": errors,
         "override": _override,
         "no_jit": _no_jit(),

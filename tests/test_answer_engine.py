@@ -6,6 +6,8 @@ IPF convergence diagnostics, and the decoded-value cache used by mean
 estimation.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -194,7 +196,6 @@ class TestMaterialize:
 
 
 class TestBatchedWorkload:
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     @pytest.mark.parametrize("protocol",
                              ["grr", "olh", "oue", "sue", "she", "the"])
     def test_batched_matches_loop(self, engine_dataset, protocol):
@@ -205,7 +206,6 @@ class TestBatchedWorkload:
         loop = model.aggregator.answer_workload_loop(queries)
         np.testing.assert_allclose(batched, loop, atol=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_batched_matches_loop_materialized(self, fitted):
         fitted.materialize()
         queries = _mixed_workload(fitted.schema, seed=21)
@@ -213,7 +213,6 @@ class TestBatchedWorkload:
         loop = fitted.aggregator.answer_workload_loop(queries)
         np.testing.assert_allclose(batched, loop, atol=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_materialize_does_not_change_answers(self, engine_dataset):
         plain = Felip.ohg(engine_dataset.schema, epsilon=2.0).fit(
             engine_dataset, rng=17)
@@ -260,9 +259,35 @@ class TestFitDiagnostics:
         fitted.aggregator.response_matrix(0, 1)
         diag = fitted.fit_diagnostics()["response_matrices"][(0, 1)]
         assert set(diag) == {"sweeps", "converged", "final_change",
-                             "threshold"}
+                             "residual", "threshold"}
         assert diag["sweeps"] >= 1
         assert diag["threshold"] == pytest.approx(1.0 / 3_000)
+
+    def test_answers_do_not_depend_on_sweep_caps(self, engine_dataset):
+        # Every fit stops where its iterate settles, far below each cap,
+        # so the caps are backstops only: raising or lowering them
+        # changes no bit of any answer.
+        queries = _mixed_workload(engine_dataset.schema, seed=51)
+        answers = []
+        for lam_cap, matrix_cap in itertools.product((50, 500, 5000),
+                                                     (20, 100, 1000)):
+            model = Felip.ohg(engine_dataset.schema, epsilon=2.0,
+                              lambda_max_iters=lam_cap,
+                              response_matrix_max_iters=matrix_cap).fit(
+                                  engine_dataset, rng=37)
+            answers.append(model.answer_workload(queries))
+            lam = model.fit_diagnostics()["lambda_queries"]
+            assert lam["non_converged"] == 0
+            assert lam["max_sweeps"] < lam_cap
+        for other in answers[1:]:
+            np.testing.assert_array_equal(other, answers[0])
+
+    def test_infeasible_lambda_queries_counted(self, fitted):
+        fitted.answer_workload(_mixed_workload(fitted.schema, seed=53))
+        lam = fitted.fit_diagnostics()["lambda_queries"]
+        assert lam["queries"] > 0
+        assert 0 <= lam["infeasible"] <= lam["queries"] - lam[
+            "non_converged"]
 
     def test_lambda_counters_accumulate(self, engine_dataset):
         model = Felip.ohg(engine_dataset.schema, epsilon=2.0).fit(
@@ -290,7 +315,6 @@ class TestFitDiagnostics:
         assert model.fit_diagnostics()["lambda_queries"][
             "non_converged"] >= 2
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_response_matrix_non_convergence_warns(self, engine_dataset):
         model = Felip.ohg(engine_dataset.schema, epsilon=2.0,
                           response_matrix_max_iters=1).fit(

@@ -304,6 +304,18 @@ class TestDispatch:
         assert set(kernels.active_backends().values()) == {"numpy"}
         assert "fortran" in kernels.backend_report()["errors"]
 
+    def test_first_backend_report_shows_unknown_forced_backend(
+            self, monkeypatch):
+        # With nothing resolved yet, the report itself triggers
+        # resolution; its errors must already include the one that
+        # resolution records.
+        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+        monkeypatch.setenv("REPRO_JIT", "numba")
+        kernels.reset_for_tests()
+        report = kernels.backend_report()
+        assert "numba" in report["errors"]
+        assert set(report["active"].values()) == {"numpy"}
+
     def test_no_jit_subprocess_runs_pure_numpy(self):
         """The documented deployment switch: a fresh interpreter with
         REPRO_NO_JIT=1 must never load a compiled backend."""

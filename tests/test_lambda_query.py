@@ -1,6 +1,7 @@
 """Tests for Algorithm 4 (λ-D estimation from 2-D answers)."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ import pytest
 from repro.errors import EstimationError
 from repro.estimation import (
     PairAnswers,
+    canonical_pairs,
     estimate_lambda_query,
+    fit_lambda_queries,
+    fit_lambda_query,
     pair_answers_from_matrix,
 )
 
@@ -142,3 +146,49 @@ class TestEstimateLambdaQuery:
         answers = {(0, 1): PairAnswers(0.25, 0.25, 0.25, 0.25)}
         with pytest.raises(EstimationError):
             estimate_lambda_query(answers, 2, n=0)
+
+
+def _contradictory_answers():
+    """λ=3 tables that disagree on predicate 0's margin: pair (0, 1) puts
+    0.3 of the mass on it, pair (0, 2) puts 0.7."""
+    return {
+        (0, 1): PairAnswers(pp=0.15, pn=0.15, np_=0.35, nn=0.35),
+        (0, 2): PairAnswers(pp=0.35, pn=0.35, np_=0.15, nn=0.15),
+        (1, 2): PairAnswers(pp=0.25, pn=0.25, np_=0.25, nn=0.25),
+    }
+
+
+class TestStoppingRule:
+    def test_infeasible_tables_settle_and_are_reported(self):
+        n = 10**6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, diag = fit_lambda_query(_contradictory_answers(), 3, n=n,
+                                       max_iters=5000)
+        assert diag.converged
+        assert diag.sweeps < 50
+        assert diag.final_change < diag.threshold == 1.0 / n
+        assert diag.residual >= diag.threshold
+        assert diag.infeasible
+
+    def test_batched_fit_flags_only_the_infeasible_query(self):
+        answers = [_contradictory_answers(), {
+            pair: PairAnswers(pp=0.25, pn=0.25, np_=0.25, nn=0.25)
+            for pair in canonical_pairs(3)}]
+        tables = np.stack([np.stack([a[p].as_table()
+                                     for p in canonical_pairs(3)])
+                           for a in answers])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = fit_lambda_queries(tables, 3, n=10**6, max_iters=5000)
+        assert fits.converged.all()
+        assert (fits.sweeps < 50).all()
+        assert fits.infeasible.tolist() == [True, False]
+        assert fits.residual[1] < fits.threshold
+
+    def test_cap_only_warns_before_settling(self):
+        from repro.errors import ConvergenceWarning
+        with pytest.warns(ConvergenceWarning, match="did not settle"):
+            _, diag = fit_lambda_query(_contradictory_answers(), 3,
+                                       n=10**6, max_iters=1)
+        assert not diag.converged and not diag.infeasible

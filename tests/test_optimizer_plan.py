@@ -67,7 +67,6 @@ def _fit(dataset, **overrides):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("protocol", sorted(pinnable_protocol_names()))
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_all_paths_bit_identical_per_protocol(self, dataset,
                                                   mixed_workload, protocol):
         model = _fit(dataset, protocols=(protocol,))
@@ -81,7 +80,6 @@ class TestBitIdentity:
                               agg.execute_answer_plan(plan, mixed_workload))
 
     @pytest.mark.parametrize("strategy", ["oug", "ohg"])
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_bit_identical_after_materialize(self, dataset, mixed_workload,
                                              strategy):
         model = _fit(dataset, strategy=strategy).materialize()
@@ -91,7 +89,6 @@ class TestBitIdentity:
         assert np.array_equal(batch,
                               agg.answer_workload_legacy(mixed_workload))
 
-    @pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
     def test_pruned_materialization_answers_unchanged(self, dataset,
                                                       mixed_workload):
         spec = WorkloadSpec.from_queries(mixed_workload, dataset.schema)
